@@ -1,9 +1,9 @@
-"""Macro benchmark: socket transport vs the local pool.
+"""Macro benchmark: remote worker daemons vs forked local workers.
 
-Runs the same sharded study through both transports — a local
-``multiprocessing.Pool`` and two real ``repro worker`` subprocess
-daemons behind the TCP coordinator — and lands both wall clocks plus
-their ratio in ``extra_info``.  The hard assertions are the ones that
+Runs the same sharded study on both kinds of worker — two forked local
+children and two real ``repro worker`` subprocess daemons, both behind
+the TCP coordinator — and lands both wall clocks plus their ratio in
+``extra_info``.  The hard assertions are the ones that
 must never regress:
 
 * byte-identity — the socket run's datasets equal the local run's
@@ -11,12 +11,14 @@ must never regress:
 * the committed non-regression guard — the socket study must stay
   within 2x :data:`DIST_BASELINE_SECONDS`.  The guard number includes
   daemon startup and two cold world generations; it exists to catch
-  order-of-magnitude transport regressions (per-unit reconnects, lost
+  order-of-magnitude coordinator regressions (per-unit reconnects, lost
   heartbeats, frame churn), not scheduler jitter.
 
-The socket-vs-local ratio is reported, not asserted: on a loaded
-single-core runner the coordinator's framing overhead can make the
-socket path slower even though the workers do identical work.
+The socket-vs-local ratio is reported, not asserted: the daemons
+regenerate the world and deepcopy it per unit while a forked child
+runs its first unit on the world it inherited, so on a loaded runner
+the remote path can be slower even though the pipeline work is
+identical.
 """
 
 import os
@@ -39,7 +41,7 @@ SCALE = StudyScale(sample_fraction=0.3, probe_days=4,
 SEED = 20220322
 UNIT_COUNT = 8
 
-#: Committed baseline: smoke-ish (0.3 fraction) socket-transport study
+#: Committed baseline: smoke-ish (0.3 fraction) remote-worker study
 #: wall seconds with 2 subprocess workers, daemon startup included (a
 #: dev box does it in ~3 s).  The guard fails at >2x this number.
 DIST_BASELINE_SECONDS = 12.0
@@ -97,25 +99,23 @@ def test_dist_throughput_socket_vs_local(benchmark, fleet):
         SCALE, workers=2, unit_count=UNIT_COUNT)
 
     def socket_run():
-        return _timed_study(SCALE, transport="socket", peers=fleet.peers,
-                            unit_count=UNIT_COUNT)
+        return _timed_study(SCALE, peers=fleet.peers, unit_count=UNIT_COUNT)
 
     elapsed, datasets = benchmark.pedantic(socket_run, rounds=1,
                                            iterations=1)
     assert not datasets.failed_shards
     assert datasets == local_datasets
     samples = len(datasets.profiles)
-    benchmark.extra_info["transport"] = "socket"
     benchmark.extra_info["workers"] = 2
     benchmark.extra_info["units"] = UNIT_COUNT
     benchmark.extra_info["samples"] = samples
     benchmark.extra_info["samples_per_second"] = round(samples / elapsed, 2)
-    benchmark.extra_info["local_pool_seconds"] = round(local_elapsed, 3)
+    benchmark.extra_info["local_seconds"] = round(local_elapsed, 3)
     benchmark.extra_info["socket_seconds"] = round(elapsed, 3)
     benchmark.extra_info["socket_vs_local"] = \
         round(elapsed / local_elapsed, 2)
     assert elapsed <= 2 * DIST_BASELINE_SECONDS, (
-        f"socket-transport study took {elapsed:.2f}s — more than 2x the "
+        f"remote-worker study took {elapsed:.2f}s — more than 2x the "
         f"committed {DIST_BASELINE_SECONDS}s baseline")
 
 
@@ -125,11 +125,10 @@ def test_dist_warm_worker_speedup(benchmark, fleet):
     is reported for the trendline, not asserted (on a loaded runner the
     signal drowns in scheduler noise at smoke scale)."""
     cold_elapsed, cold_datasets = _timed_study(
-        SCALE, transport="socket", peers=fleet.peers, unit_count=UNIT_COUNT)
+        SCALE, peers=fleet.peers, unit_count=UNIT_COUNT)
 
     def warm_run():
-        return _timed_study(SCALE, transport="socket", peers=fleet.peers,
-                            unit_count=UNIT_COUNT)
+        return _timed_study(SCALE, peers=fleet.peers, unit_count=UNIT_COUNT)
 
     warm_elapsed, warm_datasets = benchmark.pedantic(warm_run, rounds=1,
                                                      iterations=1)
@@ -143,14 +142,14 @@ def test_dist_warm_worker_speedup(benchmark, fleet):
 @pytest.mark.skipif(not os.environ.get("REPRO_XL"),
                     reason="XL stress bench; set REPRO_XL=1")
 def test_xl_dist_throughput_guard(benchmark, fleet):
-    """XL scale under mild faults over the socket transport."""
+    """XL scale under mild faults on remote worker daemons."""
     config = PipelineConfig(faults=FAULT_PLANS["mild"])
     local_elapsed, local_datasets = _timed_study(
         XL_SCALE, config=config, workers=2, unit_count=UNIT_COUNT)
 
     def socket_run():
-        return _timed_study(XL_SCALE, config=config, transport="socket",
-                            peers=fleet.peers, unit_count=UNIT_COUNT)
+        return _timed_study(XL_SCALE, config=config, peers=fleet.peers,
+                            unit_count=UNIT_COUNT)
 
     elapsed, datasets = benchmark.pedantic(socket_run, rounds=1,
                                            iterations=1)
@@ -160,9 +159,9 @@ def test_xl_dist_throughput_guard(benchmark, fleet):
     benchmark.extra_info["scale"] = "xl"
     benchmark.extra_info["samples"] = samples
     benchmark.extra_info["samples_per_second"] = round(samples / elapsed, 2)
-    benchmark.extra_info["local_pool_seconds"] = round(local_elapsed, 3)
+    benchmark.extra_info["local_seconds"] = round(local_elapsed, 3)
     benchmark.extra_info["socket_vs_local"] = \
         round(elapsed / local_elapsed, 2)
     assert elapsed <= 2 * DIST_XL_BASELINE_SECONDS, (
-        f"XL socket-transport study took {elapsed:.2f}s — more than 2x "
+        f"XL remote-worker study took {elapsed:.2f}s — more than 2x "
         f"the committed {DIST_XL_BASELINE_SECONDS}s baseline")

@@ -129,11 +129,6 @@ class C2Server:
         """Record that ``domain`` pointed at this server in [since, until)."""
         self.domain_schedule.append((domain, since, until))
 
-    def active_domains(self, now: float) -> list[str]:
-        """Domains reaching this server at ``now`` (end-exclusive)."""
-        return [d for d, since, until in self.domain_schedule
-                if since <= now < until]
-
     # -- scheduling -----------------------------------------------------------
 
     def schedule_attack(self, when: float, command: AttackCommand) -> None:

@@ -146,12 +146,6 @@ class Datasets:
     #: it describes how the value was produced, not the value itself
     failed_shards: list = field(default_factory=list, compare=False)
 
-    # -- D-Samples ---------------------------------------------------------
-
-    @property
-    def d_samples(self) -> list[BinaryNetworkProfile]:
-        return self.profiles
-
     def profile_by_sha256(self, sha256: str) -> BinaryNetworkProfile | None:
         """O(1) profile lookup by binary hash.
 

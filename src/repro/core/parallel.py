@@ -20,55 +20,44 @@ serial run** on the same ``(seed, scale)``.  Three properties carry it:
 * records carry ``origin`` tuples fixing their global creation order,
   which lets the merge reconstruct the serial insertion order exactly.
 
-*Where* the units execute is a transport's business
-(:mod:`repro.dist.transport`): ``transport="local"`` is the historical
-``multiprocessing.Pool`` (fork-inherited world snapshot,
-``maxtasksperchild=1``), ``transport="socket"`` dispatches over TCP to
-``repro worker`` daemons with cache-aware placement and work stealing.
-Either way the unit partition is by sha256, so any placement merges to
-the same digest.
+There is one executor path: a :class:`~repro.dist.coordinator.
+Coordinator` driving ``repro worker`` daemons over TCP.  With ``peers``
+those are remote daemons; without, the runner forks one
+:class:`~repro.dist.worker.WorkerServer` child per worker onto a
+loopback listener (:func:`~repro.dist.worker.fork_worker`).  A forked
+child runs its first unit on the world it inherited at fork — no copy,
+no regeneration — and regenerates the world from ``(seed, scale)`` for
+any later unit: by then the parent's probing campaign may have mutated
+the parent world, so the fork snapshot is only valid once, right after
+:meth:`ShardedStudyRunner.start`.
 
-**Failure handling**: a real fleet loses sandboxes.  :meth:`join` drains
-the wave with a bounded **per-wave** deadline (``shard_timeout`` — every
-re-dispatch wave gets a fresh budget, so worst-case wall time is
-``shard_timeout × (1 + max_redispatch)``), treats a missing or raised
-result as a unit failure, tears the wave down, and re-dispatches only
-the failed units, up to ``max_redispatch`` extra waves.  Local failure
-text distinguishes a *crashed* worker (exited nonzero; the pool silently
-replaced it and lost its task) from a *hung* one (still alive at the
-deadline).  Re-dispatched local workers regenerate the world from
-``(seed, scale)`` instead of trusting the fork snapshot: by join time
-the parent's probing campaign has mutated the parent world, so the
-snapshot is only valid for the first wave.  Because each unit's output
-is a pure function of ``(seed, scale, config)``, a retried unit produces
-the same bytes it would have produced on the first try.  Units that keep
-failing land in :attr:`ShardedStudyRunner.failed_shards` so a partial
-merge is reported, never silent.
+**Failure handling**: a real fleet loses sandboxes.  A crashed worker
+drops its connection, the coordinator sees EOF within a poll interval
+and re-queues the unit on a surviving worker — so a crash costs
+seconds.  ``shard_timeout`` is only a *hang* budget: a wave whose units
+are still running at the deadline fails those units, the runner kills
+the local children (their state cannot be trusted), forks fresh ones
+that regenerate the world, and re-dispatches only the failed units, up
+to ``max_redispatch`` extra waves, each with a fresh budget.  Because
+each unit's output is a pure function of ``(seed, scale, config)``, a
+retried unit produces the same bytes it would have produced on the
+first try.  Units that keep failing land in
+:attr:`ShardedStudyRunner.failed_shards` so a partial merge is reported,
+never silent.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
 import time
 
 from ..obs import EventLog, MetricsRegistry, NullEventLog, NullTracer, \
     Telemetry, Tracer
-from ..obs.merge import fold_counters  # re-export: the merge logic moved
 from ..world.generator import World
 from .datasets import Datasets
 from .pipeline import MalNet, PipelineConfig
 
-__all__ = ["ShardedStudyRunner", "ShardResult", "execute_shard",
-           "fold_counters"]
-
-#: world snapshot inherited by fork()ed workers; ``None`` under spawn and
-#: for re-dispatch waves (the parent world has been mutated by then)
-_FORK_WORLD: World | None = None
-
-#: exit code of a chaos-crashed worker (os._exit, so the parent pool sees
-#: a dead process, not an exception — the lost-task failure mode)
-_CRASH_EXIT_CODE = 170
+__all__ = ["ShardedStudyRunner", "ShardResult", "execute_shard"]
 
 
 @dataclasses.dataclass
@@ -80,9 +69,8 @@ class ShardResult:
     ``events`` are portable tracer/event-log snapshots, populated only
     when the parent ran with telemetry enabled.  ``wall_seconds`` is the
     executor-measured wall time of the whole unit task, ``attempt`` the
-    dispatch wave that produced this result (0 = first try), and
-    ``worker`` the socket worker that ran it (``None`` on the local
-    transport).
+    dispatch attempt that produced this result (0 = first try), and
+    ``worker`` the worker that ran it (set by the coordinator).
     """
 
     shard_index: int
@@ -96,19 +84,17 @@ class ShardResult:
 
 
 def execute_shard(seed: int, scale, config: PipelineConfig, attempt: int,
-                  telemetry_on: bool, *, world: World | None = None,
-                  chaos: str = "exit") -> ShardResult:
-    """Run the pipeline over one sha256 unit — the shared executor body
-    of the pool worker and the ``repro worker`` daemon.
+                  telemetry_on: bool, *,
+                  world: World | None = None) -> ShardResult:
+    """Run the pipeline over one sha256 unit — the executor body of the
+    ``repro worker`` daemon.
 
-    ``world`` is an already-generated private copy (fork snapshot, or a
-    worker's warm-cache deepcopy); ``None`` regenerates from
-    ``(seed, scale)`` — same bytes either way, world generation is
-    deterministic.  ``chaos`` picks how a fault plan's worker-crash draw
-    dies: ``"exit"`` is the pool's ``os._exit`` (no exception, task
-    silently lost), ``"raise"`` raises
-    :class:`~repro.netsim.faults.WorkerCrash` so a daemon can drop the
-    coordinator connection instead of killing itself.
+    ``world`` is an already-generated private copy (a forked child's
+    inherited world, or a daemon's warm-cache deepcopy); ``None``
+    regenerates from ``(seed, scale)`` — same bytes either way, world
+    generation is deterministic.  A fault plan's worker-crash draw
+    raises :class:`~repro.netsim.faults.WorkerCrash`, on which the
+    daemon drops the coordinator connection without a reply.
 
     The executor always keeps metrics (counter/histogram totals survive
     the merge); with ``telemetry_on`` it also runs a real tracer and
@@ -123,10 +109,6 @@ def execute_shard(seed: int, scale, config: PipelineConfig, attempt: int,
 
         injector = FaultInjector(plan, seed)
         if injector.worker_crashes(config.shard_index, attempt):
-            if chaos == "exit":
-                # die like a sandbox host dies: no exception, no result —
-                # the parent only notices the shard never reports back
-                os._exit(_CRASH_EXIT_CODE)
             raise WorkerCrash(
                 f"chaos crash: unit {config.shard_index} attempt {attempt}")
         if injector.worker_hangs(config.shard_index, attempt):
@@ -154,19 +136,6 @@ def execute_shard(seed: int, scale, config: PipelineConfig, attempt: int,
     )
 
 
-def _run_shard(task) -> ShardResult:
-    """Pool worker entry point: run the pipeline over one unit.
-
-    Runs in a child process.  Uses the fork-inherited world snapshot
-    when there is one and this is the first attempt, otherwise
-    :func:`execute_shard` regenerates the world from ``(seed, scale)``.
-    """
-    seed, scale, config, attempt, telemetry_on = task
-    world = _FORK_WORLD if attempt == 0 else None
-    return execute_shard(seed, scale, config, attempt, telemetry_on,
-                         world=world, chaos="exit")
-
-
 class ShardedStudyRunner:
     """Runs the daily pipeline across sha256-partitioned executors.
 
@@ -177,24 +146,25 @@ class ShardedStudyRunner:
         ...                       # parent-side work overlaps execution
         shards = runner.join()    # [ShardResult, ...] in unit order
 
-    ``transport="local"`` (default) keeps today's in-host pool with one
-    unit per worker, zero behavior change.  ``transport="socket"``
-    dispatches to remote ``repro worker`` daemons at ``peers``
-    (``["host:port", ...]``), cutting the corpus into ``unit_count``
-    fine-grained units (default 4× the fleet size) so the coordinator
-    can place cache-aware and steal from stragglers.  ``unit_count``
-    also works locally (useful for testing the fine-grained plan); any
-    unit count merges to the same digest.
+    Without ``peers``, :meth:`start` forks ``workers`` local worker
+    children (one unit each by default).  With ``peers``
+    (``["host:port", ...]``) it drives those ``repro worker`` daemons
+    instead, cutting the corpus into ``unit_count`` fine-grained units
+    (default 4× the fleet size) so the coordinator can place cache-aware
+    and steal from stragglers.  ``unit_count`` also works locally; any
+    unit count merges to the same digest.  ``transport_options`` passes
+    coordinator tuning (heartbeat/steal thresholds) through untouched.
 
     After :meth:`join`, :attr:`failed_shards` lists the unit indexes
     that never produced a result (crashed/hung/raised through every
     re-dispatch wave) and :attr:`failures` keeps the last error text per
-    failed unit; :attr:`transport_stats` carries the transport's
-    placement/steal/wall accounting for the manifest.  Callers must
-    treat a non-empty :attr:`failed_shards` as a partial merge.
+    failed unit; :attr:`dist_stats` carries the coordinator's
+    placement/steal/lost-worker/per-worker accounting for the manifest.
+    Callers must treat a non-empty :attr:`failed_shards` as a partial
+    merge.
 
-    ``shard_timeout`` is a **per-wave** deadline: each call into the
-    transport's collect gets a fresh budget (see the module docstring).
+    ``shard_timeout`` is a **per-wave** hang budget (see the module
+    docstring); a crashed worker never waits for it.
     """
 
     def __init__(self, world: World, workers: int,
@@ -202,7 +172,6 @@ class ShardedStudyRunner:
                  shard_timeout: float | None = 600.0,
                  max_redispatch: int = 2,
                  telemetry_enabled: bool = False,
-                 transport: str = "local",
                  peers: list[str] | None = None,
                  unit_count: int | None = None,
                  transport_options: dict | None = None):
@@ -212,18 +181,9 @@ class ShardedStudyRunner:
             raise ValueError(
                 "sharded execution needs a seeded world: workers derive "
                 "their randomness from (world.seed, sha256)")
-        if transport not in ("local", "socket"):
-            raise ValueError(f"unknown transport {transport!r} "
-                             "(expected 'local' or 'socket')")
-        if transport == "socket" and not peers:
-            raise ValueError("transport='socket' needs peers "
-                             "(['host:port', ...])")
-        if transport == "local" and peers:
-            raise ValueError("peers only apply to transport='socket'")
         if unit_count is not None and unit_count < 1:
             raise ValueError("unit_count must be >= 1")
         from ..dist.plan import TaskSpec, default_unit_count
-        from ..dist.transport import LocalTransport, SocketTransport
 
         self.world = world
         self.workers = workers
@@ -232,94 +192,118 @@ class ShardedStudyRunner:
         #: ship their snapshots back for the cross-shard merge
         self.telemetry_enabled = telemetry_enabled
         #: wall-clock seconds granted to each dispatch wave in
-        #: :meth:`join` before its missing units are declared failed
+        #: :meth:`join` before its still-running units are declared hung
         #: (``None``: wait forever)
         self.shard_timeout = shard_timeout
         #: extra dispatch waves granted to failed units
         self.max_redispatch = max_redispatch
-        self.transport_name = transport
+        #: remote worker addresses; empty means forked local workers
         self.peers = list(peers or [])
         #: sha256-partition granularity: how many units the corpus is
         #: cut into (== workers on the plain local path)
-        if transport == "socket":
-            self.shard_count = unit_count or default_unit_count(workers)
-        else:
-            self.shard_count = unit_count or workers
+        self.shard_count = unit_count or (
+            default_unit_count(workers) if self.peers else workers)
         #: unit indexes with no result after all waves (set by ``join``)
         self.failed_shards: list[int] = []
         #: last error text per failed unit index
         self.failures: dict[int, str] = {}
         #: total unit re-dispatches performed (set by ``join``; includes
-        #: transport-internal re-queues after lost workers)
+        #: coordinator re-queues after lost workers and failed units)
         self.redispatches = 0
-        #: transport placement/steal/wall accounting (set by ``join``)
-        self.transport_stats: dict = {}
-        spec = TaskSpec(seed=world.seed, scale=world.scale,
-                        config=self.config, shard_count=self.shard_count,
-                        telemetry=telemetry_enabled)
-        options = dict(transport_options or {})
-        if transport == "socket":
-            self._transport = SocketTransport(
-                spec, self.peers, shard_timeout=shard_timeout, **options)
-        else:
-            self._transport = LocalTransport(
-                spec, workers=workers, shard_timeout=shard_timeout,
-                fork_world=world, **options)
-        self._started = False
+        #: coordinator placement/steal/lost-worker accounting (``join``)
+        self.dist_stats: dict = {}
+        #: forked local worker processes of the current wave
+        self.local_workers: list = []
+        self._spec = TaskSpec(seed=world.seed, scale=world.scale,
+                              config=self.config,
+                              shard_count=self.shard_count,
+                              telemetry=telemetry_enabled)
+        self._options = dict(transport_options or {})
+        self._coordinator = None
+        self._results: dict[int, ShardResult] = {}
         self._drained = False
 
-    def _shard_config(self, index: int) -> PipelineConfig:
-        return dataclasses.replace(self.config, shard_index=index,
-                                   shard_count=self.shard_count)
+    def _fork_workers(self, count: int, world: World | None) -> list[str]:
+        """Fork ``count`` local worker children; returns their addresses."""
+        from ..dist.worker import fork_worker
+
+        addresses = []
+        for _ in range(count):
+            process, address = fork_worker(world)
+            self.local_workers.append(process)
+            addresses.append(address)
+        return addresses
+
+    def _reap_workers(self, grace: float) -> None:
+        """Wait up to ``grace`` seconds per local child, then kill it."""
+        for process in self.local_workers:
+            process.join(grace)
+            if process.is_alive():
+                process.kill()
+                process.join()
+        self.local_workers = []
 
     def start(self) -> "ShardedStudyRunner":
-        """Dispatch one task per unit (non-blocking)."""
-        if self._started:
+        """Dispatch the first wave (non-blocking)."""
+        if self._coordinator is not None:
             raise RuntimeError("runner already started")
-        self._started = True
-        self._transport.start_wave(range(self.shard_count), attempt=0)
-        return self
+        from ..dist.coordinator import Coordinator
 
-    def _collect(self, pending: dict, results: dict) -> dict[int, str]:
-        """Back-compat shim over the local transport's wave harvest."""
-        return self._transport.collect_pending(pending, results)
+        try:
+            peers = self.peers or self._fork_workers(
+                min(self.workers, self.shard_count), self.world)
+            self._coordinator = Coordinator(peers, self._spec,
+                                            **self._options)
+            self._coordinator.begin(range(self.shard_count), 0,
+                                    self._results)
+        except BaseException:
+            self._reap_workers(0.0)
+            raise
+        return self
 
     def join(self) -> list[ShardResult]:
         """Wait for every unit; returns results ordered by unit index.
 
-        Failed units are re-dispatched (fresh executors, regenerated
-        world) up to ``max_redispatch`` times — each wave under a fresh
+        Units still missing at a wave's end are re-dispatched (on fresh
+        local children, which regenerate the world) up to
+        ``max_redispatch`` times — each wave under a fresh
         ``shard_timeout`` budget; whatever still fails is recorded in
         :attr:`failed_shards` / :attr:`failures` and simply absent from
-        the returned list.
+        the returned list.  Local children are reaped before returning.
         """
-        if not self._started:
+        if self._coordinator is None:
             raise RuntimeError("runner not started")
         if self._drained:
             raise RuntimeError("runner already joined")
         self._drained = True
-        transport = self._transport
-        results: dict[int, ShardResult] = {}
+        coordinator = self._coordinator
         attempt = 0
         try:
             while True:
-                failures = transport.collect_wave(results)
+                failures = coordinator.drain(timeout=self.shard_timeout)
                 if not failures:
-                    transport.finish()
                     break
-                transport.abort_wave()
                 self.failures.update(failures)
                 attempt += 1
                 if attempt > self.max_redispatch:
                     self.failed_shards = sorted(failures)
                     break
                 self.redispatches += len(failures)
-                transport.start_wave(sorted(failures), attempt)
+                if not self.peers:
+                    # a hung or half-dead local child cannot be trusted:
+                    # replace the fleet; fresh children regenerate
+                    coordinator.close()
+                    self._reap_workers(0.0)
+                    coordinator.replace_peers(self._fork_workers(
+                        min(self.workers, len(failures)), None))
+                coordinator.begin(sorted(failures), attempt, self._results)
         finally:
-            transport.close()
-            self.redispatches += transport.redispatches
-            self.transport_stats = transport.stats()
-        return [results[index] for index in sorted(results)]
+            coordinator.close()
+            # healthy children exit on the shutdown frame; hung ones die
+            self._reap_workers(0.0 if self.failed_shards else 5.0)
+            self.redispatches += coordinator.redispatches
+            self.dist_stats = coordinator.stats()
+        return [self._results[index] for index in sorted(self._results)]
 
     def run(self) -> list[ShardResult]:
         """Blocking convenience: :meth:`start` then :meth:`join`."""

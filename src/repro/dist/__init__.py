@@ -1,8 +1,9 @@
-"""Distributed study execution: transports, coordinator, worker daemon.
+"""Distributed study execution: coordinator, worker daemon, wire format.
 
-The sharded runner (:mod:`repro.core.parallel`) historically topped out
-at one host's ``multiprocessing.Pool``.  This package generalizes it
-behind a transport abstraction:
+Every parallel study runs its sha256 units through this package: the
+sharded runner (:mod:`repro.core.parallel`) drives a coordinator over
+TCP workers — remote ``repro worker`` daemons when given ``peers``,
+otherwise worker children it forks onto loopback listeners.
 
 ``wire.py``
     length-prefixed framed messages over TCP, reusing the checksummed
@@ -10,15 +11,13 @@ behind a transport abstraction:
 ``plan.py``
     the fine-grained shard plan — sha256 unit partitioning, world cache
     keys, default unit counts
-``transport.py``
-    :class:`LocalTransport` (today's pool, zero behavior change) and
-    :class:`SocketTransport` (remote workers via the coordinator)
 ``coordinator.py``
-    cache-aware unit placement, adaptive work stealing, heartbeat-based
-    lost-worker detection
+    cache-aware unit placement, adaptive work stealing, EOF- and
+    heartbeat-based lost-worker detection
 ``worker.py``
     the ``repro worker`` daemon: accepts coordinator connections and
-    executes shard units against a warm world cache
+    executes shard units against a warm world cache; ``fork_worker``
+    starts a one-connection local child
 
 The deterministic-merge invariant — serial output byte-identical to any
 merged parallel output — is unchanged: units are sha256-partitioned, so
@@ -26,14 +25,10 @@ any placement, steal, or re-dispatch schedule merges to the same digest.
 """
 
 from .plan import TaskSpec, default_unit_count, world_key
-from .transport import LocalTransport, SocketTransport, Transport
 from .wire import WireError, recv_frame, send_frame
 
 __all__ = [
-    "LocalTransport",
-    "SocketTransport",
     "TaskSpec",
-    "Transport",
     "WireError",
     "default_unit_count",
     "recv_frame",

@@ -1,11 +1,13 @@
 """The coordinator: cache-aware placement, stealing, loss detection.
 
 One :class:`Coordinator` owns the client side of every worker
-connection for one study run.  Each call to :meth:`run` drains one
-dispatch *wave* (the same unit of retry the pool runner always had —
-see :meth:`ShardedStudyRunner.join <repro.core.parallel.
-ShardedStudyRunner.join>`); within a wave the coordinator is a
-single-threaded ``selectors`` event loop over three structures::
+connection for one study run — remote ``repro worker`` daemons or the
+runner's forked local children alike.  :meth:`begin` opens a dispatch
+*wave* and places its first units; :meth:`drain` runs it to the end
+(the unit of retry — see :meth:`ShardedStudyRunner.join
+<repro.core.parallel.ShardedStudyRunner.join>`).  Within a wave the
+coordinator is a single-threaded ``selectors`` event loop over three
+structures::
 
     pending   deque of unit indexes not yet placed
     running   unit -> the set of peers currently executing it
@@ -30,8 +32,9 @@ clock, never the digest.
 while executing; a busy connection silent for ``heartbeat_timeout``
 (or any connection hitting EOF / a framing error) is declared lost,
 its units are re-queued with ``attempt + 1``, and the peer is left for
-the next wave's reconnect pass (a worker that merely dropped its
-connection — the chaos-crash failure mode — is still listening).
+the next wave's reconnect pass (a remote daemon that merely dropped
+its connection — the chaos-crash failure mode — is still listening; a
+forked local child exits instead, and the runner forks a replacement).
 
 *retry bounding* — a unit re-queued more than ``max_unit_retries``
 times within one wave is abandoned to the wave's failure report; the
@@ -71,7 +74,6 @@ class _Peer:
         self.busy_unit: int | None = None
         self.dispatched_at = 0.0
         self.last_seen = 0.0
-        self.lost_this_wave = False
         # lifetime accounting (across waves), surfaced by stats()
         self.completed = 0
         self.wall = 0.0
@@ -83,7 +85,8 @@ class _Peer:
 
 
 class _Wave:
-    """Mutable state of one run() invocation."""
+    """Mutable state of one dispatch wave (:meth:`Coordinator.begin`
+    through :meth:`Coordinator.drain`)."""
 
     def __init__(self, indexes, attempt, results):
         self.indexes = list(indexes)
@@ -96,6 +99,7 @@ class _Wave:
         self.running: dict[int, set[_Peer]] = {}
         self.reasons: dict[int, str] = {}
         self.walls: list[float] = []
+        self.selector = selectors.DefaultSelector()
 
     def outstanding(self) -> list[int]:
         return [i for i in self.indexes if i not in self.results]
@@ -123,6 +127,8 @@ class Coordinator:
         self.max_unit_retries = max_unit_retries
         self._clock = clock
         self.peers = [_Peer(i, address) for i, address in enumerate(peers)]
+        self._retired: list[_Peer] = []
+        self._wave: _Wave | None = None
         # lifetime accounting across waves
         self.redispatches = 0     # units re-queued (lost worker / failure)
         self.steals = 0
@@ -139,7 +145,6 @@ class Coordinator:
         when zero live workers turns into shard failures.
         """
         for peer in self.peers:
-            peer.lost_this_wave = False
             if peer.connected:
                 continue
             host, _, port = peer.address.rpartition(":")
@@ -176,80 +181,120 @@ class Coordinator:
                 peer.sock.close()
                 peer.sock = None
 
+    def replace_peers(self, addresses) -> None:
+        """Retire every peer (closing its connection) and adopt a new
+        fleet; retired peers stay in :meth:`stats`."""
+        self.close()
+        self._retired.extend(self.peers)
+        start = len(self._retired)
+        self.peers = [_Peer(start + i, address)
+                      for i, address in enumerate(addresses)]
+
     def _live(self) -> list[_Peer]:
         return [p for p in self.peers if p.connected]
 
     # -- one wave ----------------------------------------------------------
 
-    def run(self, indexes, attempt: int, results: dict,
-            timeout: float | None = None) -> dict[int, str]:
-        """Drain one wave; returns ``unit -> failure text`` for whatever
-        could not be resolved (empty on full success)."""
-        wave = _Wave(indexes, attempt, results)
+    def begin(self, indexes, attempt: int, results: dict) -> None:
+        """Open a wave: connect, then place the first units (non-blocking).
+
+        The workers start executing at once; :meth:`drain` later runs
+        the event loop until the wave resolves.  ``results`` is shared
+        across waves by the runner, so units already in it are skipped.
+        """
+        if self._wave is not None:
+            raise CoordinatorError("previous wave not drained")
+        wave = self._wave = _Wave(indexes, attempt, results)
         if not wave.outstanding():
-            return {}
+            return
         if self.connect() == 0:
-            return {i: f"no reachable socket workers "
-                       f"(peers: {[p.address for p in self.peers]})"
-                    for i in wave.outstanding()}
+            for unit in wave.outstanding():
+                wave.reasons[unit] = (
+                    "no reachable workers "
+                    f"(peers: {[p.address for p in self.peers]})")
+            return
+        for peer in self._live():
+            wave.selector.register(peer.sock, selectors.EVENT_READ, peer)
+        self._assign(wave)
+
+    def drain(self, timeout: float | None = None) -> dict[int, str]:
+        """Run the open wave to its end; returns ``unit -> failure text``
+        for whatever could not be resolved (empty on full success).
+
+        ``timeout`` is the wave's hang budget, counted from this call: a
+        lost worker is detected at EOF and its unit re-queued, so only a
+        unit still *running* at the deadline fails for lack of time.
+        """
+        wave, self._wave = self._wave, None
+        if wave is None:
+            raise CoordinatorError("no wave in flight")
         deadline = None if timeout is None else self._clock() + timeout
-        selector = selectors.DefaultSelector()
         try:
+            # heartbeats sent while nobody was reading are still queued:
+            # a worker is silent only from here on
+            now = self._clock()
             for peer in self._live():
-                selector.register(peer.sock, selectors.EVENT_READ, peer)
-            self._loop(wave, selector, deadline)
+                peer.last_seen = now
+            self._loop(wave, deadline)
         finally:
-            selector.close()
+            wave.selector.close()
         failures = {}
         for unit in wave.outstanding():
-            failures[unit] = wave.reasons.get(
-                unit, f"no result within the {timeout}s wave deadline "
-                      "(worker lost or straggling)")
+            runners = wave.running.get(unit)
+            if runners:
+                names = ", ".join(sorted(p.worker_id for p in runners))
+                failures[unit] = (
+                    f"unit {unit}: worker hung ({names} still running it); "
+                    f"no result within the {timeout}s wave deadline")
+            else:
+                failures[unit] = wave.reasons.get(
+                    unit, f"unit {unit}: never placed; no result within "
+                          f"the {timeout}s wave deadline")
         return failures
 
-    def _loop(self, wave: _Wave, selector, deadline) -> None:
+    def _loop(self, wave: _Wave, deadline) -> None:
         while wave.outstanding():
-            self._assign(wave, selector)
+            self._assign(wave)
             if not wave.recoverable():
                 return                       # every missing unit abandoned
             if not self._live():
                 for unit in wave.outstanding():
-                    wave.reasons.setdefault(unit, "all socket workers lost")
+                    wave.reasons.setdefault(unit, "all workers lost")
                 return
             now = self._clock()
             if deadline is not None and now >= deadline:
                 return
             wait = 0.2 if deadline is None else max(
                 0.01, min(0.2, deadline - now))
-            for key, _ in selector.select(wait):
-                self._pump(key.data, wave, selector)
+            for key, _ in wave.selector.select(wait):
+                self._pump(key.data, wave)
             now = self._clock()
             for peer in self._live():
                 if (peer.busy_unit is not None
                         and now - peer.last_seen > self.heartbeat_timeout):
                     self._lose(peer, "heartbeat lost "
                                f"(silent for {self.heartbeat_timeout}s)",
-                               wave, selector)
-            self._maybe_steal(wave, selector, self._clock())
+                               wave)
+            self._maybe_steal(wave, self._clock())
 
     # -- event handling ----------------------------------------------------
 
-    def _pump(self, peer: _Peer, wave: _Wave, selector) -> None:
+    def _pump(self, peer: _Peer, wave: _Wave) -> None:
         """Drain one readable socket into message handling."""
         try:
             data = peer.sock.recv(1 << 16)
         except BlockingIOError:      # spurious wakeup
             return
         except OSError as exc:
-            self._lose(peer, f"recv failed: {exc}", wave, selector)
+            self._lose(peer, f"recv failed: {exc}", wave)
             return
         if not data:
-            self._lose(peer, "connection closed by worker", wave, selector)
+            self._lose(peer, "connection closed by worker", wave)
             return
         try:
             messages = peer.decoder.feed(data)
         except WireError as exc:
-            self._lose(peer, f"protocol error: {exc}", wave, selector)
+            self._lose(peer, f"protocol error: {exc}", wave)
             return
         peer.last_seen = self._clock()
         for message in messages:
@@ -313,22 +358,20 @@ class Coordinator:
         self.redispatches += 1
         wave.pending.append(unit)
 
-    def _lose(self, peer: _Peer, reason: str, wave: _Wave,
-              selector) -> None:
+    def _lose(self, peer: _Peer, reason: str, wave: _Wave) -> None:
         """Declare a worker lost: requeue its units, drop the socket."""
         self.lost_workers.append({
             "worker": peer.worker_id, "address": peer.address,
             "reason": reason, "busy_unit": peer.busy_unit,
         })
         try:
-            selector.unregister(peer.sock)
+            wave.selector.unregister(peer.sock)
         except (KeyError, ValueError):
             pass
         try:
             peer.sock.close()
         finally:
             peer.sock = None
-        peer.lost_this_wave = True
         dropped = [unit for unit, runners in wave.running.items()
                    if peer in runners]
         for unit in dropped:
@@ -344,7 +387,7 @@ class Coordinator:
         return min(idle, key=lambda p: (self.spec.world_key not in p.warm,
                                         p.index))
 
-    def _assign(self, wave: _Wave, selector) -> None:
+    def _assign(self, wave: _Wave) -> None:
         while wave.pending:
             idle = [p for p in self._live() if p.busy_unit is None]
             if not idle:
@@ -354,11 +397,11 @@ class Coordinator:
                 continue
             peer = self._choose(idle)
             if not self._send_task(peer, unit, wave.attempts[unit],
-                                   wave, selector, steal=False):
+                                   wave, steal=False):
                 wave.pending.appendleft(unit)
 
     def _send_task(self, peer: _Peer, unit: int, attempt: int,
-                   wave: _Wave, selector, *, steal: bool) -> bool:
+                   wave: _Wave, *, steal: bool) -> bool:
         warm = self.spec.world_key in peer.warm
         try:
             send_frame(peer.sock, {
@@ -372,7 +415,7 @@ class Coordinator:
                 },
             })
         except OSError as exc:
-            self._lose(peer, f"send failed: {exc}", wave, selector)
+            self._lose(peer, f"send failed: {exc}", wave)
             return False
         peer.busy_unit = unit
         peer.dispatched_at = self._clock()
@@ -385,7 +428,7 @@ class Coordinator:
         })
         return True
 
-    def _maybe_steal(self, wave: _Wave, selector, now: float) -> None:
+    def _maybe_steal(self, wave: _Wave, now: float) -> None:
         if wave.pending:
             return
         idle = [p for p in self._live() if p.busy_unit is None]
@@ -411,16 +454,16 @@ class Coordinator:
             # same attempt as the original dispatch: the unit is a pure
             # function of (seed, scale, config, unit), twins tie safely
             if self._send_task(thief, unit, wave.attempts.get(unit, 0),
-                               wave, selector, steal=True):
+                               wave, steal=True):
                 self.steals += 1
 
     # -- reporting ---------------------------------------------------------
 
     def stats(self) -> dict:
+        peers = self._retired + self.peers
         return {
-            "transport": "socket",
             "units": self.spec.shard_count,
-            "peers": [p.address for p in self.peers],
+            "peers": [p.address for p in peers],
             "placements": list(self.placements),
             "steals": self.steals,
             "stolen_wasted": self.stolen_wasted,
@@ -433,6 +476,6 @@ class Coordinator:
                     "wall_seconds": round(p.wall, 6),
                     "warm_placements": p.warm_hits,
                 }
-                for p in self.peers
+                for p in peers
             },
         }

@@ -1,7 +1,7 @@
 """The fine-grained shard plan: units, world keys, and task specs.
 
 A *unit* is one sha256-partition of the sample corpus — the same
-partition function the pool runner always used
+partition function the sharded runner always used
 (:func:`repro.determinism.shard_of`), just cut finer: the coordinator
 dispatches ``unit_count`` units (default
 :data:`UNITS_PER_WORKER` × workers) so that placement, stealing, and

@@ -3,7 +3,12 @@
 One :class:`WorkerServer` listens on a TCP port and serves any number
 of coordinator connections, one thread per connection (the
 ``cs2620_hw3`` peer-mesh idiom: daemon threads around blocking
-sockets, a stop event for shutdown).  Per task it runs
+sockets, a stop event for shutdown).  The same server is the local
+executor: :func:`fork_worker` binds a loopback listener and forks a
+child that serves exactly one coordinator connection and exits at its
+EOF, so a parent that dies — even by SIGKILL — leaves no orphan.
+
+Per task the server runs
 :func:`repro.core.parallel.execute_shard` in an executor thread while
 the connection thread keeps heartbeats flowing — so a unit that is
 merely slow looks alive to the coordinator, and only a worker that is
@@ -16,19 +21,21 @@ pipeline at small unit sizes), so the daemon keeps a small LRU of
 ~8× cheaper than regenerating, and byte-identical because world
 generation is a pure function of ``(seed, scale)``.  The cache keys
 are reported in every ``hello-ack``/``result`` frame, which is what
-lets the coordinator place units cache-aware.
+lets the coordinator place units cache-aware.  A forked child instead
+runs its first unit on the world it inherited at fork, uncopied, then
+drops it; later units go through the cache like a daemon's.
 
-Chaos parity: a fault plan's ``worker_crashes`` draw makes a pool
-worker ``os._exit`` with its task lost.  Here the same draw makes the
-daemon drop the coordinator's connection without a reply — the daemon
-survives (it is one process serving many tasks), but the coordinator
-sees exactly what a dead sandbox looks like: EOF, no result.
+Chaos: a fault plan's ``worker_crashes`` draw makes the worker drop
+the coordinator's connection without a reply — the coordinator sees
+exactly what a dead sandbox looks like: EOF, no result.  A daemon
+keeps listening; a forked child exits.
 """
 
 from __future__ import annotations
 
 import copy
 import dataclasses
+import multiprocessing
 import os
 import socket
 import threading
@@ -37,7 +44,10 @@ from collections import OrderedDict
 from .plan import world_key
 from .wire import PROTOCOL_VERSION, WireError, recv_frame, send_frame
 
-__all__ = ["WorkerServer", "WorldCache"]
+__all__ = ["WorkerServer", "WorldCache", "fork_worker"]
+
+#: seconds a forked child waits for its coordinator to connect
+ACCEPT_TIMEOUT = 60.0
 
 
 class WorldCache:
@@ -87,12 +97,14 @@ class WorkerServer:
 
     def __init__(self, host: str = "127.0.0.1", port: int = 0, *,
                  heartbeat_interval: float = 0.5,
-                 world_cache_limit: int = 4):
+                 world_cache_limit: int = 4, world=None):
         self._listener = socket.create_server((host, port))
         self.host, self.port = self._listener.getsockname()[:2]
         self.worker_id = f"{self.host}:{self.port}"
         self.heartbeat_interval = heartbeat_interval
         self.worlds = WorldCache(world_cache_limit)
+        #: world handed, uncopied, to the first task (a fork snapshot)
+        self._inherited = world
         self.tasks_run = 0
         self._stop = threading.Event()
         self._accept_thread: threading.Thread | None = None
@@ -112,6 +124,17 @@ class WorkerServer:
             threading.Thread(target=self._serve_client, args=(conn,),
                              daemon=True).start()
         self._listener.close()
+
+    def serve_one(self) -> None:
+        """Serve exactly one coordinator connection, then return."""
+        self._listener.settimeout(ACCEPT_TIMEOUT)
+        try:
+            conn, _addr = self._listener.accept()
+        except OSError:          # nobody connected: the parent is gone
+            return
+        finally:
+            self._listener.close()
+        self._serve_client(conn)
 
     def start(self) -> "WorkerServer":
         """Run the accept loop in a daemon thread (tests, embedding)."""
@@ -158,8 +181,12 @@ class WorkerServer:
         finally:
             conn.close()
 
+    def _lease_world(self, seed: int, scale):
+        world, self._inherited = self._inherited, None
+        return world if world is not None else self.worlds.lease(seed, scale)
+
     def _run_task(self, conn: socket.socket, message: dict) -> None:
-        from ..core.parallel import execute_shard
+        from ..core import parallel
         from ..netsim.faults import WorkerCrash
 
         unit = message["unit"]
@@ -171,10 +198,12 @@ class WorkerServer:
 
         def execute():
             try:
-                world = self.worlds.lease(spec["seed"], spec["scale"])
-                box["result"] = execute_shard(
+                world = self._lease_world(spec["seed"], spec["scale"])
+                # looked up per call, so a wrapper installed before the
+                # fork runs in the child
+                box["result"] = parallel.execute_shard(
                     spec["seed"], spec["scale"], config, attempt,
-                    spec["telemetry"], world=world, chaos="raise")
+                    spec["telemetry"], world=world)
             except WorkerCrash:
                 box["crash"] = True
             except BaseException as exc:  # ship the failure, stay alive
@@ -198,3 +227,20 @@ class WorkerServer:
                           "attempt": attempt, "result": result,
                           "warm": self.worlds.keys(),
                           "wall": result.wall_seconds})
+
+
+def fork_worker(world=None) -> tuple:
+    """Fork a one-connection :class:`WorkerServer` on a loopback port.
+
+    The listener is bound (and listening) before the fork, so the
+    caller may connect as soon as this returns.  ``world`` is handed to
+    the child's first task uncopied.  Returns ``(process, address)``;
+    the caller reaps the process.
+    """
+    server = WorkerServer("127.0.0.1", 0, world=world)
+    process = multiprocessing.get_context("fork").Process(
+        target=server.serve_one, name=f"repro-worker-{server.port}",
+        daemon=True)
+    process.start()
+    server._listener.close()     # the child holds its own copy
+    return process, server.worker_id

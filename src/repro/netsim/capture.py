@@ -197,14 +197,6 @@ class PacketColumns:
                              0, 0, DEFAULT_TTL, 0, 0, payload))
         COLUMN_STATS["rows"] += 1
 
-    def append_packet(self, pkt: Packet) -> None:
-        """Decompose an existing packet into one columnar row."""
-        self._staged.append((pkt.timestamp, pkt.src, pkt.dst, pkt.sport,
-                             pkt.dport, int(pkt.protocol), int(pkt.flags),
-                             pkt.seq, pkt.ack, pkt.ttl, pkt.icmp_type,
-                             pkt.icmp_code, pkt.payload))
-        COLUMN_STATS["rows"] += 1
-
     def _flush(self) -> None:
         """Transpose staged rows into the typed arrays (one bulk pass)."""
         if not self._staged:
@@ -299,12 +291,6 @@ class Capture:
         if cols is not None and len(cols):
             cols.build_into(self._packets)
 
-    def _tail(self) -> PacketColumns:
-        cols = self._cols
-        if cols is None:
-            cols = self._cols = PacketColumns()
-        return cols
-
     def add(self, pkt: Packet) -> None:
         if self._cols is not None:
             self._materialize()
@@ -353,19 +339,14 @@ class Capture:
                 f"label={self.label!r})")
 
     # pickles carry the columnar tail as columns (arrays serialize far
-    # smaller than Packet objects), so shard transport stays lazy; the
-    # legacy (packets, label) shape is still accepted on load
+    # smaller than Packet objects), so shipped shard results stay lazy
     def __getstate__(self):
         cols = self._cols if self._cols is not None and len(self._cols) \
             else None
         return ("columnar-v1", self._packets, cols, self.label)
 
     def __setstate__(self, state) -> None:
-        if len(state) == 4 and state[0] == "columnar-v1":
-            _tag, self._packets, self._cols, self.label = state
-        else:
-            self._packets, self.label = state
-            self._cols = None
+        _tag, self._packets, self._cols, self.label = state
 
     # -- field-level reads --------------------------------------------------
 

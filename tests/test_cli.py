@@ -242,8 +242,3 @@ class TestServeAndQueryCommands:
         with pytest.raises(SystemExit) as excinfo:
             run_cli("query", "http://127.0.0.1:9", "health")
         assert "cannot reach" in str(excinfo.value)
-
-    def test_serve_rejects_negative_workers(self):
-        with pytest.raises(SystemExit) as excinfo:
-            run_cli("serve", "--workers", "-2", "--port", "0")
-        assert "--workers" in str(excinfo.value)

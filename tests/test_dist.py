@@ -1,11 +1,12 @@
 """The distributed runner end-to-end: wire format, worker daemon,
 coordinator scheduling, and the byte-identity guarantee over TCP.
 
-The expensive sections run one smoke study per fault plan through real
-``SocketTransport`` machinery — in-process :class:`WorkerServer`
-threads for the scheduling tests (correctness is GIL-independent), and
-``python -m repro worker`` subprocesses for the SIGKILL test, where a
-worker must be killable mid-unit without the digest moving.
+The expensive sections run one smoke study per fault plan through the
+real coordinator — in-process :class:`WorkerServer` threads for the
+scheduling tests (correctness is GIL-independent), ``python -m repro
+worker`` subprocesses for the SIGKILL test, where a worker must be
+killable mid-unit without the digest moving, and the runner's own
+forked local children for the orphan and local-loss tests.
 """
 
 import dataclasses
@@ -15,17 +16,18 @@ import socket
 import subprocess
 import sys
 import threading
+import time
 from pathlib import Path
 
 import pytest
 
 from repro.core.cache import dataset_digest
+from repro.core.parallel import ShardedStudyRunner
 from repro.core.pipeline import PipelineConfig
 from repro.core.study import run_study
-from repro.dist import (LocalTransport, SocketTransport, WireError,
-                        recv_frame, send_frame)
-from repro.dist.wire import FrameDecoder
-from repro.dist.worker import WorkerServer, WorldCache
+from repro.dist import WireError, recv_frame, send_frame
+from repro.dist.wire import PROTOCOL_VERSION, FrameDecoder
+from repro.dist.worker import WorkerServer, WorldCache, fork_worker
 from repro.netsim.faults import FAULT_PLANS
 from repro.obs import create_telemetry
 from repro.world import StudyScale, generate_world
@@ -217,24 +219,24 @@ def test_world_cache_evicts_least_recently_used():
     assert cache.misses == 4
 
 
-# -- socket transport end-to-end ----------------------------------------------
+# -- remote workers end-to-end ------------------------------------------------
 
 
-def _socket_study(peers, config, unit_count=UNIT_COUNT, **kwargs):
+def _dist_study(peers, config, unit_count=UNIT_COUNT, **kwargs):
     telemetry = create_telemetry()
     world = generate_world(seed=SEED, scale=SCALE)
     _malnet, _campaign, datasets = run_study(
-        world, config=config, telemetry=telemetry, transport="socket",
-        peers=peers, unit_count=unit_count, **kwargs)
+        world, config=config, telemetry=telemetry, peers=peers,
+        unit_count=unit_count, **kwargs)
     return datasets, telemetry.manifest
 
 
 def test_socket_transport_matches_serial(workers, serial_plain):
-    datasets, manifest = _socket_study(_peers(workers), None)
+    datasets, manifest = _dist_study(_peers(workers), None)
     assert not datasets.failed_shards
     assert dataset_digest(datasets) == serial_plain
-    assert manifest["run"]["transport"] == "socket"
     dist = manifest["extra"]["dist"]
+    assert dist["peers"] == _peers(workers)
     assert dist["units"] == UNIT_COUNT
     assert {p["unit"] for p in dist["placements"]} == set(range(UNIT_COUNT))
     per_worker = dist["per_worker"]
@@ -247,7 +249,7 @@ def test_socket_transport_matches_serial(workers, serial_plain):
 
 def test_socket_transport_matches_serial_under_mild_faults(workers,
                                                            serial_mild):
-    datasets, manifest = _socket_study(_peers(workers), MILD)
+    datasets, manifest = _dist_study(_peers(workers), MILD)
     assert not datasets.failed_shards
     assert dataset_digest(datasets) == serial_mild
     # same (seed, scale) as the previous run: placement sees warm workers
@@ -279,14 +281,13 @@ def test_socket_counter_totals_match_serial():
 
     procs, peers = _spawn_fleet(2)
     try:
-        assert totals() == totals(transport="socket", peers=peers,
-                                  unit_count=UNIT_COUNT)
+        assert totals() == totals(peers=peers, unit_count=UNIT_COUNT)
     finally:
         _stop_fleet(procs)
 
 
 def test_straggling_unit_is_stolen(workers, serial_straggler):
-    datasets, manifest = _socket_study(
+    datasets, manifest = _dist_study(
         _peers(workers), STRAGGLER, unit_count=4,
         transport_options={"min_steal_seconds": 0.3, "steal_factor": 0.5})
     assert not datasets.failed_shards
@@ -303,7 +304,7 @@ def test_unreachable_workers_fail_the_units_not_the_run():
     probe.close()                           # nobody listens here now
     world = generate_world(seed=SEED, scale=SCALE)
     _malnet, _campaign, datasets = run_study(
-        world, transport="socket", peers=[f"127.0.0.1:{dead_port}"],
+        world, peers=[f"127.0.0.1:{dead_port}"],
         unit_count=3, shard_timeout=10.0, max_redispatch=0)
     assert sorted(datasets.failed_shards) == [0, 1, 2]
     assert datasets.profiles == []          # no unit ever ran
@@ -317,7 +318,7 @@ def test_socket_study_survives_a_sigkilled_worker(serial_straggler):
         axe = threading.Timer(2.0, procs[0].kill)
         axe.start()
         try:
-            datasets, manifest = _socket_study(peers, STRAGGLER,
+            datasets, manifest = _dist_study(peers, STRAGGLER,
                                                unit_count=4)
         finally:
             axe.cancel()
@@ -330,21 +331,88 @@ def test_socket_study_survives_a_sigkilled_worker(serial_straggler):
         _stop_fleet(procs)
 
 
-# -- transport contract edges -------------------------------------------------
+# -- forked local workers -----------------------------------------------------
 
 
-def test_local_transport_rejects_double_wave():
-    from repro.dist.plan import TaskSpec
-
-    spec = TaskSpec(seed=SEED, scale=SCALE, config=PipelineConfig(),
-                    shard_count=2)
-    transport = LocalTransport(spec, workers=2, shard_timeout=30.0)
+def test_local_child_exits_when_its_coordinator_connection_closes():
+    """A forked child serves exactly one connection: when the parent
+    goes away (a SIGKILL closes its sockets the same way) the child
+    exits — even mid-unit — instead of lingering as an orphan."""
+    process, address = fork_worker()
+    host, _, port = address.rpartition(":")
+    sock = socket.create_connection((host, int(port)), timeout=5.0)
     try:
-        transport.start_wave([0, 1], 0)
-        with pytest.raises(RuntimeError):
-            transport.start_wave([0, 1], 0)
-        with pytest.raises(RuntimeError):
-            SocketTransport(spec, ["127.0.0.1:1"]).collect_wave({})
+        send_frame(sock, {"type": "hello", "protocol": PROTOCOL_VERSION,
+                          "world": "-"})
+        ack = recv_frame(sock)
+        assert ack["type"] == "hello-ack" and ack["pid"] == process.pid
+        send_frame(sock, {
+            "type": "task", "unit": 2, "attempt": 0,   # hangs 6s
+            "spec": {"seed": SEED, "scale": SCALE, "config": STRAGGLER,
+                     "unit_count": 4, "telemetry": False},
+        })
+        assert recv_frame(sock)["type"] == "heartbeat"   # mid-unit now
     finally:
-        transport.abort_wave()
-        transport.close()
+        sock.close()
+    process.join(5.0)
+    assert process.exitcode is not None, "child outlived its coordinator"
+
+
+def test_local_study_survives_a_sigkilled_child(serial_straggler,
+                                                 monkeypatch):
+    """SIGKILL one forked child mid-unit: the coordinator sees EOF at
+    once, re-runs the unit on the surviving child (which regenerates
+    the world), and the merge still equals the serial run."""
+    runners, kills = [], []
+    start = ShardedStudyRunner.start
+
+    def start_then_kill(self):
+        start(self)
+        runners.append(self)
+        victim = self.local_workers[1]
+
+        def kill():
+            os.kill(victim.pid, 9)
+            kills.append(time.monotonic())
+
+        threading.Timer(0.5, kill).start()
+        return self
+
+    monkeypatch.setattr(ShardedStudyRunner, "start", start_then_kill)
+    # unit 1 of 2 hangs 6s on its first attempt, so its child is
+    # mid-unit when killed; no steal may run it meanwhile
+    config = PipelineConfig(faults=dataclasses.replace(
+        STRAGGLER.faults, hang_shards=(1,)))
+    datasets, manifest = _dist_study(
+        None, config, unit_count=None, workers=2, shard_timeout=60.0,
+        transport_options={"min_steal_seconds": 60.0})
+    assert time.monotonic() - kills[0] < 5.0
+    assert runners[0].local_workers == []      # every child reaped
+    assert not datasets.failed_shards
+    assert dataset_digest(datasets) == serial_straggler
+    lost = manifest["extra"]["dist"]["lost_workers"]
+    assert len(lost) == 1 and lost[0]["busy_unit"] == 1
+
+
+def test_hung_local_child_is_killed_and_replaced():
+    """A wave that times out on a hung unit kills the wave's children;
+    the retry wave runs on a freshly forked child."""
+    config = PipelineConfig(faults=dataclasses.replace(
+        STRAGGLER.faults, hang_shards=(1,), hang_seconds=60.0))
+    world = generate_world(seed=SEED, scale=SCALE)
+    runner = ShardedStudyRunner(
+        world, workers=2, config=config, shard_timeout=2.0,
+        max_redispatch=1, transport_options={"min_steal_seconds": 60.0})
+    runner.start()
+    first_wave = [process.pid for process in runner.local_workers]
+    results = runner.join()
+    assert runner.failed_shards == [] and len(results) == 2
+    assert runner.redispatches == 1
+    for pid in first_wave:           # killed and reaped, not orphaned
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+    retry = [p for p in runner.dist_stats["placements"] if p["attempt"] == 1]
+    assert [p["unit"] for p in retry] == [1]
+    first_ids = {p["worker"] for p in runner.dist_stats["placements"]
+                 if p["attempt"] == 0}
+    assert retry[0]["worker"] not in first_ids

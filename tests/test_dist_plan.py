@@ -15,7 +15,7 @@ sha256 unit partition:
 
 These are exactly the degrees of freedom the coordinator exercises
 (placement, stealing, lost-worker re-queues), checked here without a
-socket in the loop so a failure points at the plan, not the transport.
+socket in the loop so a failure points at the plan, not the wire.
 """
 
 import dataclasses

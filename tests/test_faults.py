@@ -316,10 +316,32 @@ def test_faults_change_the_output(serial_faulty):
 # -- chaos: shard worker loss -------------------------------------------------
 
 
-def test_crashed_shard_worker_is_redispatched(serial_faulty):
-    """Shard 1's worker dies mid-study (os._exit: no exception, no
-    result); the runner re-dispatches it and the merge is still
-    byte-identical to the serial run."""
+@pytest.fixture
+def join_seconds(monkeypatch):
+    """Wall seconds of every ``ShardedStudyRunner.join`` in the test."""
+    import time
+
+    from repro.core.parallel import ShardedStudyRunner
+
+    spent = []
+    join = ShardedStudyRunner.join
+
+    def timed(self):
+        started = time.monotonic()
+        try:
+            return join(self)
+        finally:
+            spent.append(time.monotonic() - started)
+
+    monkeypatch.setattr(ShardedStudyRunner, "join", timed)
+    return spent
+
+
+def test_crashed_shard_worker_is_redispatched(serial_faulty, join_seconds):
+    """Shard 1's worker dies mid-study (connection dropped, no result);
+    the coordinator sees EOF, re-dispatches the unit, and the merge is
+    still byte-identical to the serial run — in seconds, not at the
+    ``shard_timeout`` deadline."""
     plan = dataclasses.replace(PLAN, crash_shards=(1,), crash_attempts=1)
     telemetry = create_telemetry()
     world = generate_world(seed=SEED, scale=SCALE)
@@ -331,9 +353,11 @@ def test_crashed_shard_worker_is_redispatched(serial_faulty):
     assert telemetry.metrics.value("shard_redispatches") == 1
     assert any(e["event"] == "study.shard_redispatched"
                for e in telemetry.events.events)
+    assert len(join_seconds) == 1 and join_seconds[0] < 5.0
 
 
-def test_exhausted_redispatch_reports_partial_merge(serial_faulty):
+def test_exhausted_redispatch_reports_partial_merge(serial_faulty,
+                                                    join_seconds):
     """A shard that keeps dying is reported in failed_shards — a partial
     result, not an exception and not a silent gap."""
     plan = dataclasses.replace(PLAN, crash_shards=(1,), crash_attempts=99)
@@ -351,20 +375,39 @@ def test_exhausted_redispatch_reports_partial_merge(serial_faulty):
     assert datasets.profiles
     assert {p.sha256 for p in datasets.profiles} < \
         {p.sha256 for p in serial_faulty.profiles}
+    assert len(join_seconds) == 1 and join_seconds[0] < 5.0
 
 
-def test_worker_raising_is_also_redispatched():
-    """A worker that raises (instead of dying) fails fast through the
-    pool and is retried the same way."""
-    from repro.core.parallel import ShardedStudyRunner
+def test_worker_raising_is_also_redispatched(serial_faulty, tmp_path,
+                                             monkeypatch):
+    """A unit that raises (instead of killing its worker) comes back as
+    a ``failed`` frame; the coordinator re-queues it on a live worker
+    and the merge is still the serial run's."""
+    import os
 
+    from repro.core import parallel
+
+    marker = str(tmp_path / "raised")
+    execute_shard = parallel.execute_shard
+
+    def raise_once(*args, **kwargs):
+        # the marker file is shared by the forked workers: exactly one
+        # call in the whole fleet raises
+        try:
+            os.close(os.open(marker, os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            return execute_shard(*args, **kwargs)
+        raise RuntimeError("worker exploded")
+
+    monkeypatch.setattr(parallel, "execute_shard", raise_once)
+    telemetry = create_telemetry()
     world = generate_world(seed=SEED, scale=SCALE)
-    runner = ShardedStudyRunner(world, workers=2, shard_timeout=30.0)
-    # simulate by calling the collector directly with a poisoned result
-    class Poisoned:
-        def get(self, timeout=None):
-            raise RuntimeError("worker exploded")
-
-    results = {}
-    failures = runner._collect({1: Poisoned()}, results)
-    assert failures == {1: "RuntimeError: worker exploded"} and not results
+    _malnet, _campaign, datasets = run_study(
+        world, config=PipelineConfig(faults=PLAN), workers=2,
+        telemetry=telemetry, shard_timeout=30.0)
+    assert os.path.exists(marker)
+    assert datasets == serial_faulty
+    assert datasets.failed_shards == []
+    assert telemetry.metrics.value("shard_redispatches") == 1
+    dist = telemetry.manifest["extra"]["dist"]
+    assert dist["redispatches"] == 1 and dist["lost_workers"] == []
