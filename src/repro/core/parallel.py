@@ -33,17 +33,17 @@ the parent world, so the fork snapshot is only valid once, right after
 
 **Failure handling**: a real fleet loses sandboxes.  A crashed worker
 drops its connection, the coordinator sees EOF within a poll interval
-and re-queues the unit on a surviving worker — so a crash costs
-seconds.  ``shard_timeout`` is only a *hang* budget: a wave whose units
-are still running at the deadline fails those units, the runner kills
-the local children (their state cannot be trusted), forks fresh ones
-that regenerate the world, and re-dispatches only the failed units, up
-to ``max_redispatch`` extra waves, each with a fresh budget.  Because
-each unit's output is a pure function of ``(seed, scale, config)``, a
-retried unit produces the same bytes it would have produced on the
-first try.  Units that keep failing land in
-:attr:`ShardedStudyRunner.failed_shards` so a partial merge is reported,
-never silent.
+and re-queues the unit — so a crash costs seconds.  ``shard_timeout``
+is only a *hang* budget, per dispatch: a worker still running a unit
+past it is declared lost like a crashed one.  A lost local child is
+killed and replaced by a fresh fork that regenerates the world, while
+work is still queued.  Each unit is dispatched at most ``1 +
+max_redispatch`` times, and every re-dispatch takes the next attempt
+number.  Because each unit's output is a pure function of ``(seed,
+scale, config)``, a retried unit produces the same bytes it would have
+produced on the first try.  Units that run out of dispatches land in
+:attr:`ShardedStudyRunner.failed_shards` so a partial merge is
+reported, never silent.
 """
 
 from __future__ import annotations
@@ -152,19 +152,19 @@ class ShardedStudyRunner:
     instead, cutting the corpus into ``unit_count`` fine-grained units
     (default 4× the fleet size) so the coordinator can place cache-aware
     and steal from stragglers.  ``unit_count`` also works locally; any
-    unit count merges to the same digest.  ``transport_options`` passes
-    coordinator tuning (heartbeat/steal thresholds) through untouched.
+    unit count merges to the same digest.
 
-    After :meth:`join`, :attr:`failed_shards` lists the unit indexes
-    that never produced a result (crashed/hung/raised through every
-    re-dispatch wave) and :attr:`failures` keeps the last error text per
-    failed unit; :attr:`dist_stats` carries the coordinator's
+    ``max_redispatch`` is the number of re-dispatches each unit gets
+    after a failed dispatch (lost worker, ``failed`` frame or hang), so
+    a unit runs at most ``1 + max_redispatch`` times.  ``shard_timeout``
+    is the hang budget of each dispatch; a crashed worker never waits
+    for it.  After :meth:`join`, :attr:`failed_shards` lists the unit
+    indexes that never produced a result, :attr:`failures` keeps the
+    last error text of every unit that had a failed dispatch, and
+    :attr:`dist_stats` carries the coordinator's
     placement/steal/lost-worker/per-worker accounting for the manifest.
     Callers must treat a non-empty :attr:`failed_shards` as a partial
     merge.
-
-    ``shard_timeout`` is a **per-wave** hang budget (see the module
-    docstring); a crashed worker never waits for it.
     """
 
     def __init__(self, world: World, workers: int,
@@ -173,8 +173,7 @@ class ShardedStudyRunner:
                  max_redispatch: int = 2,
                  telemetry_enabled: bool = False,
                  peers: list[str] | None = None,
-                 unit_count: int | None = None,
-                 transport_options: dict | None = None):
+                 unit_count: int | None = None):
         if workers < 1:
             raise ValueError("workers must be >= 1")
         if world.seed is None:
@@ -191,11 +190,10 @@ class ShardedStudyRunner:
         #: when True, executors run real tracer/event-log instruments and
         #: ship their snapshots back for the cross-shard merge
         self.telemetry_enabled = telemetry_enabled
-        #: wall-clock seconds granted to each dispatch wave in
-        #: :meth:`join` before its still-running units are declared hung
-        #: (``None``: wait forever)
+        #: seconds one dispatch may run before its worker is declared
+        #: hung (``None``: wait forever)
         self.shard_timeout = shard_timeout
-        #: extra dispatch waves granted to failed units
+        #: re-dispatches granted to each unit after a failed dispatch
         self.max_redispatch = max_redispatch
         #: remote worker addresses; empty means forked local workers
         self.peers = list(peers or [])
@@ -203,36 +201,42 @@ class ShardedStudyRunner:
         #: cut into (== workers on the plain local path)
         self.shard_count = unit_count or (
             default_unit_count(workers) if self.peers else workers)
-        #: unit indexes with no result after all waves (set by ``join``)
+        #: unit indexes with no result (set by ``join``)
         self.failed_shards: list[int] = []
-        #: last error text per failed unit index
+        #: last error text per unit that had a failed dispatch (``join``)
         self.failures: dict[int, str] = {}
-        #: total unit re-dispatches performed (set by ``join``; includes
-        #: coordinator re-queues after lost workers and failed units)
+        #: unit re-dispatches after a failed dispatch (set by ``join``)
         self.redispatches = 0
         #: coordinator placement/steal/lost-worker accounting (``join``)
         self.dist_stats: dict = {}
-        #: forked local worker processes of the current wave
+        #: live forked local worker processes
         self.local_workers: list = []
         self._spec = TaskSpec(seed=world.seed, scale=world.scale,
                               config=self.config,
                               shard_count=self.shard_count,
                               telemetry=telemetry_enabled)
-        self._options = dict(transport_options or {})
         self._coordinator = None
-        self._results: dict[int, ShardResult] = {}
         self._drained = False
 
-    def _fork_workers(self, count: int, world: World | None) -> list[str]:
-        """Fork ``count`` local worker children; returns their addresses."""
+    def _fork_worker(self, world: World | None) -> str:
+        """Fork one local worker child; returns its address."""
         from ..dist.worker import fork_worker
 
-        addresses = []
-        for _ in range(count):
-            process, address = fork_worker(world)
-            self.local_workers.append(process)
-            addresses.append(address)
-        return addresses
+        process, address = fork_worker(world)
+        self.local_workers.append(process)
+        return address
+
+    def _respawn(self, pid: int) -> str:
+        """Kill the lost local child ``pid`` and fork a fresh one, which
+        regenerates the world: the parent's probing campaign may have
+        mutated the parent world since the first fork."""
+        for process in self.local_workers:
+            if process.pid == pid:
+                process.kill()
+                process.join()
+                self.local_workers.remove(process)
+                break
+        return self._fork_worker(None)
 
     def _reap_workers(self, grace: float) -> None:
         """Wait up to ``grace`` seconds per local child, then kill it."""
@@ -244,18 +248,20 @@ class ShardedStudyRunner:
         self.local_workers = []
 
     def start(self) -> "ShardedStudyRunner":
-        """Dispatch the first wave (non-blocking)."""
+        """Connect the workers and place the first units (non-blocking)."""
         if self._coordinator is not None:
             raise RuntimeError("runner already started")
         from ..dist.coordinator import Coordinator
 
         try:
-            peers = self.peers or self._fork_workers(
-                min(self.workers, self.shard_count), self.world)
-            self._coordinator = Coordinator(peers, self._spec,
-                                            **self._options)
-            self._coordinator.begin(range(self.shard_count), 0,
-                                    self._results)
+            peers = self.peers or [
+                self._fork_worker(self.world)
+                for _ in range(min(self.workers, self.shard_count))]
+            self._coordinator = Coordinator(
+                peers, self._spec, max_redispatch=self.max_redispatch,
+                hang_timeout=self.shard_timeout,
+                respawn=None if self.peers else self._respawn)
+            self._coordinator.begin()
         except BaseException:
             self._reap_workers(0.0)
             raise
@@ -264,10 +270,7 @@ class ShardedStudyRunner:
     def join(self) -> list[ShardResult]:
         """Wait for every unit; returns results ordered by unit index.
 
-        Units still missing at a wave's end are re-dispatched (on fresh
-        local children, which regenerate the world) up to
-        ``max_redispatch`` times — each wave under a fresh
-        ``shard_timeout`` budget; whatever still fails is recorded in
+        Units that exhaust their dispatches are recorded in
         :attr:`failed_shards` / :attr:`failures` and simply absent from
         the returned list.  Local children are reaped before returning.
         """
@@ -277,34 +280,14 @@ class ShardedStudyRunner:
             raise RuntimeError("runner already joined")
         self._drained = True
         coordinator = self._coordinator
-        attempt = 0
         try:
-            while True:
-                failures = coordinator.drain(timeout=self.shard_timeout)
-                if not failures:
-                    break
-                self.failures.update(failures)
-                attempt += 1
-                if attempt > self.max_redispatch:
-                    self.failed_shards = sorted(failures)
-                    break
-                self.redispatches += len(failures)
-                if not self.peers:
-                    # a hung or half-dead local child cannot be trusted:
-                    # replace the fleet; fresh children regenerate
-                    coordinator.close()
-                    self._reap_workers(0.0)
-                    coordinator.replace_peers(self._fork_workers(
-                        min(self.workers, len(failures)), None))
-                coordinator.begin(sorted(failures), attempt, self._results)
+            self.failed_shards = sorted(coordinator.drain())
         finally:
             coordinator.close()
             # healthy children exit on the shutdown frame; hung ones die
             self._reap_workers(0.0 if self.failed_shards else 5.0)
-            self.redispatches += coordinator.redispatches
+            self.failures = dict(coordinator.reasons)
+            self.redispatches = coordinator.redispatches
             self.dist_stats = coordinator.stats()
-        return [self._results[index] for index in sorted(self._results)]
-
-    def run(self) -> list[ShardResult]:
-        """Blocking convenience: :meth:`start` then :meth:`join`."""
-        return self.start().join()
+        results = coordinator.results
+        return [results[index] for index in sorted(results)]

@@ -259,7 +259,6 @@ def _run_parallel(
     world: World, malnet: MalNet, workers: int, telemetry: Telemetry,
     shard_timeout: float | None = 600.0, max_redispatch: int = 2,
     peers: list[str] | None = None, unit_count: int | None = None,
-    transport_options: dict | None = None,
 ) -> tuple[ProbingCampaign, dict]:
     """Sharded pipeline on the workers, probing overlapped in the parent.
 
@@ -277,8 +276,7 @@ def _run_parallel(
                                 shard_timeout=shard_timeout,
                                 max_redispatch=max_redispatch,
                                 telemetry_enabled=telemetry.enabled,
-                                peers=peers, unit_count=unit_count,
-                                transport_options=transport_options)
+                                peers=peers, unit_count=unit_count)
     with telemetry.tracer.span("study.pipeline", workers=workers) \
             as pipeline_span:
         runner.start()
@@ -288,8 +286,8 @@ def _run_parallel(
     if runner.redispatches:
         telemetry.metrics.counter(
             "shard_redispatches",
-            "shard units re-dispatched after a lost worker, a failed "
-            "unit, or a timed-out wave",
+            "shard unit re-dispatches after a lost, failed or hung "
+            "dispatch",
         ).inc(runner.redispatches)
         telemetry.events.warning(
             "study.shard_redispatched", count=runner.redispatches,
@@ -300,7 +298,7 @@ def _run_parallel(
     if runner.failed_shards:
         telemetry.metrics.counter(
             "shards_failed", "shards with no result after every "
-            "re-dispatch wave (partial merge)",
+            "allowed dispatch (partial merge)",
         ).inc(len(runner.failed_shards))
         telemetry.events.warning(
             "study.partial_merge", failed_shards=runner.failed_shards,
@@ -424,16 +422,15 @@ def run_study(
     shard_timeout: float | None = 600.0, max_redispatch: int = 2,
     cache: StudyCache | str | None = None,
     peers: list[str] | None = None, unit_count: int | None = None,
-    transport_options: dict | None = None,
 ) -> tuple[MalNet, ProbingCampaign, Datasets]:
     """Execute the complete measurement study on a generated world.
 
     ``workers=None`` (or 0) runs everything in-process; ``workers=N`` for
     N >= 1 shards the daily pipeline over N forked worker processes and
     merges, with identical results; ``workers="auto"`` picks a width
-    that fits the machine.  ``shard_timeout`` bounds how long a hung
-    unit is waited for per wave and ``max_redispatch`` how often failed
-    units are retried (see
+    that fits the machine.  ``shard_timeout`` is the hang budget of one
+    dispatch of a unit and ``max_redispatch`` how often each unit is
+    re-dispatched after a failed dispatch (see
     :class:`~repro.core.parallel.ShardedStudyRunner`); units that still
     fail are reported in ``datasets.failed_shards``.
 
@@ -441,9 +438,7 @@ def run_study(
     remote ``repro worker`` daemons instead — the fleet width follows
     the peer list, ``unit_count`` controls the fine-grained partition
     (default 4× the fleet; ``workers`` locally), and the merged output
-    stays byte-identical to the serial run.  ``transport_options``
-    passes coordinator tuning (heartbeat/steal thresholds) through
-    untouched.
+    stays byte-identical to the serial run.
 
     ``cache`` (a :class:`~repro.core.cache.StudyCache` or a directory
     path) short-circuits the whole run when an entry for this exact
@@ -492,8 +487,7 @@ def run_study(
         campaign, run_info = _run_parallel(
             world, malnet, workers, telemetry,
             shard_timeout=shard_timeout, max_redispatch=max_redispatch,
-            peers=peers, unit_count=unit_count,
-            transport_options=transport_options)
+            peers=peers, unit_count=unit_count)
     else:
         with telemetry.tracer.span("study.pipeline"):
             runner.run_remaining_days()

@@ -12,8 +12,8 @@ otherwise worker children it forks onto loopback listeners.
     the fine-grained shard plan — sha256 unit partitioning, world cache
     keys, default unit counts
 ``coordinator.py``
-    cache-aware unit placement, adaptive work stealing, EOF- and
-    heartbeat-based lost-worker detection
+    cache-aware unit placement, adaptive work stealing, EOF-, heartbeat-
+    and hang-based lost-worker detection, one retry budget per unit
 ``worker.py``
     the ``repro worker`` daemon: accepts coordinator connections and
     executes shard units against a warm world cache; ``fork_worker``

@@ -34,7 +34,6 @@ keeps listening; a forked child exits.
 from __future__ import annotations
 
 import copy
-import dataclasses
 import multiprocessing
 import os
 import socket
@@ -192,18 +191,16 @@ class WorkerServer:
         unit = message["unit"]
         attempt = message["attempt"]
         spec = message["spec"]
-        config = dataclasses.replace(spec["config"], shard_index=unit,
-                                     shard_count=spec["unit_count"])
         box: dict = {}
 
         def execute():
             try:
-                world = self._lease_world(spec["seed"], spec["scale"])
+                world = self._lease_world(spec.seed, spec.scale)
                 # looked up per call, so a wrapper installed before the
                 # fork runs in the child
                 box["result"] = parallel.execute_shard(
-                    spec["seed"], spec["scale"], config, attempt,
-                    spec["telemetry"], world=world)
+                    spec.seed, spec.scale, spec.config_for(unit), attempt,
+                    spec.telemetry, world=world)
             except WorkerCrash:
                 box["crash"] = True
             except BaseException as exc:  # ship the failure, stay alive

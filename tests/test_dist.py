@@ -25,7 +25,8 @@ from repro.core.cache import dataset_digest
 from repro.core.parallel import ShardedStudyRunner
 from repro.core.pipeline import PipelineConfig
 from repro.core.study import run_study
-from repro.dist import WireError, recv_frame, send_frame
+from repro.dist import TaskSpec, WireError, coordinator, recv_frame, \
+    send_frame
 from repro.dist.wire import PROTOCOL_VERSION, FrameDecoder
 from repro.dist.worker import WorkerServer, WorldCache, fork_worker
 from repro.netsim.faults import FAULT_PLANS
@@ -286,10 +287,11 @@ def test_socket_counter_totals_match_serial():
         _stop_fleet(procs)
 
 
-def test_straggling_unit_is_stolen(workers, serial_straggler):
+def test_straggling_unit_is_stolen(workers, serial_straggler, monkeypatch):
+    monkeypatch.setattr(coordinator, "MIN_STEAL_SECONDS", 0.3)
+    monkeypatch.setattr(coordinator, "STEAL_FACTOR", 0.5)
     datasets, manifest = _dist_study(
-        _peers(workers), STRAGGLER, unit_count=4,
-        transport_options={"min_steal_seconds": 0.3, "steal_factor": 0.5})
+        _peers(workers), STRAGGLER, unit_count=4)
     assert not datasets.failed_shards
     assert dataset_digest(datasets) == serial_straggler
     dist = manifest["extra"]["dist"]
@@ -314,7 +316,7 @@ def test_socket_study_survives_a_sigkilled_worker(serial_straggler):
     procs, peers = _spawn_fleet(2)
     try:
         # the straggler unit hangs 6s: the study is guaranteed to still
-        # be mid-wave when the axe falls
+        # be running when the axe falls
         axe = threading.Timer(2.0, procs[0].kill)
         axe.start()
         try:
@@ -348,8 +350,8 @@ def test_local_child_exits_when_its_coordinator_connection_closes():
         assert ack["type"] == "hello-ack" and ack["pid"] == process.pid
         send_frame(sock, {
             "type": "task", "unit": 2, "attempt": 0,   # hangs 6s
-            "spec": {"seed": SEED, "scale": SCALE, "config": STRAGGLER,
-                     "unit_count": 4, "telemetry": False},
+            "spec": TaskSpec(seed=SEED, scale=SCALE, config=STRAGGLER,
+                             shard_count=4),
         })
         assert recv_frame(sock)["type"] == "heartbeat"   # mid-unit now
     finally:
@@ -381,11 +383,11 @@ def test_local_study_survives_a_sigkilled_child(serial_straggler,
     monkeypatch.setattr(ShardedStudyRunner, "start", start_then_kill)
     # unit 1 of 2 hangs 6s on its first attempt, so its child is
     # mid-unit when killed; no steal may run it meanwhile
+    monkeypatch.setattr(coordinator, "MIN_STEAL_SECONDS", 60.0)
     config = PipelineConfig(faults=dataclasses.replace(
         STRAGGLER.faults, hang_shards=(1,)))
     datasets, manifest = _dist_study(
-        None, config, unit_count=None, workers=2, shard_timeout=60.0,
-        transport_options={"min_steal_seconds": 60.0})
+        None, config, unit_count=None, workers=2, shard_timeout=60.0)
     assert time.monotonic() - kills[0] < 5.0
     assert runners[0].local_workers == []      # every child reaped
     assert not datasets.failed_shards
@@ -394,25 +396,27 @@ def test_local_study_survives_a_sigkilled_child(serial_straggler,
     assert len(lost) == 1 and lost[0]["busy_unit"] == 1
 
 
-def test_hung_local_child_is_killed_and_replaced():
-    """A wave that times out on a hung unit kills the wave's children;
-    the retry wave runs on a freshly forked child."""
+def test_hung_local_child_is_killed_and_replaced(monkeypatch):
+    """A child still running its unit at the hang deadline is lost like
+    a crashed one: it is killed, a fresh fork takes its slot, and the
+    unit is retried on another worker."""
+    monkeypatch.setattr(coordinator, "MIN_STEAL_SECONDS", 60.0)
     config = PipelineConfig(faults=dataclasses.replace(
         STRAGGLER.faults, hang_shards=(1,), hang_seconds=60.0))
     world = generate_world(seed=SEED, scale=SCALE)
     runner = ShardedStudyRunner(
         world, workers=2, config=config, shard_timeout=2.0,
-        max_redispatch=1, transport_options={"min_steal_seconds": 60.0})
+        max_redispatch=1)
     runner.start()
-    first_wave = [process.pid for process in runner.local_workers]
+    hung_pid = runner.local_workers[1].pid     # unit 1's child
     results = runner.join()
     assert runner.failed_shards == [] and len(results) == 2
     assert runner.redispatches == 1
-    for pid in first_wave:           # killed and reaped, not orphaned
-        with pytest.raises(ProcessLookupError):
-            os.kill(pid, 0)
-    retry = [p for p in runner.dist_stats["placements"] if p["attempt"] == 1]
+    with pytest.raises(ProcessLookupError):    # killed and reaped
+        os.kill(hung_pid, 0)
+    placements = runner.dist_stats["placements"]
+    hung = [p["worker"] for p in placements if p["attempt"] == 0
+            and p["unit"] == 1]
+    retry = [p for p in placements if p["attempt"] == 1]
     assert [p["unit"] for p in retry] == [1]
-    first_ids = {p["worker"] for p in runner.dist_stats["placements"]
-                 if p["attempt"] == 0}
-    assert retry[0]["worker"] not in first_ids
+    assert retry[0]["worker"] not in hung

@@ -219,7 +219,7 @@ def test_fold_counters_sums_worker_snapshots():
     assert parent.value("samples_skipped", reason="duplicate") == 9
 
 
-# -- shard_timeout semantics: per-wave deadline, crash vs hang ---------------
+# -- retry accounting and shard_timeout: per-dispatch budget, crash vs hang --
 
 
 def _chaos_runner(plan, **kwargs):
@@ -228,11 +228,41 @@ def _chaos_runner(plan, **kwargs):
                               config=PipelineConfig(faults=plan), **kwargs)
 
 
+@pytest.mark.parametrize("crash_attempts, max_redispatch, failed, attempts", [
+    (2, 2, [], [0, 1, 2]),      # two crashes, recovered on the last try
+    (1, 0, [1], [0]),           # no re-dispatch allowed: the unit fails
+], ids=["recovered", "exhausted"])
+def test_unit_is_dispatched_at_most_one_plus_max_redispatch_times(
+        crash_attempts, max_redispatch, failed, attempts):
+    """One retry budget per unit: every dispatch takes the next attempt
+    number, and the re-dispatch counters count real re-dispatches."""
+    from repro.netsim.faults import FaultPlan
+    from repro.obs import create_telemetry
+
+    plan = FaultPlan(name="crash-some", crash_shards=(1,),
+                     crash_attempts=crash_attempts)
+    runner = _chaos_runner(plan, max_redispatch=max_redispatch)
+    runner.start()
+    runner.join()
+    assert runner.failed_shards == failed
+    assert [p["attempt"] for p in runner.dist_stats["placements"]
+            if p["unit"] == 1] == attempts
+    assert runner.redispatches == len(attempts) - 1
+    telemetry = create_telemetry()
+    _malnet, _campaign, datasets = run_study(
+        generate_world(seed=SEED, scale=SCALE),
+        config=PipelineConfig(faults=plan), telemetry=telemetry,
+        workers=2, max_redispatch=max_redispatch)
+    assert datasets.failed_shards == failed
+    assert telemetry.metrics.value("shard_redispatches") == \
+        len(attempts) - 1
+
+
 def test_timed_out_crash_is_reported_as_a_crash():
     """A worker that died reads differently from one that is merely
     stuck — the 3 a.m. difference between 'restart the box' and 'attach
     a profiler'.  A crash is a lost connection, seen at EOF, so it never
-    waits for (or cites) the wave deadline."""
+    waits for (or cites) the hang deadline."""
     import time
 
     from repro.netsim.faults import FaultPlan
@@ -247,7 +277,7 @@ def test_timed_out_crash_is_reported_as_a_crash():
     assert runner.failed_shards == [1]
     assert "lost" in runner.failures[1]
     assert "connection closed by worker" in runner.failures[1]
-    assert "wave deadline" not in runner.failures[1]
+    assert "hang deadline" not in runner.failures[1]
 
 
 def test_timed_out_hang_is_reported_as_a_hang():
@@ -263,13 +293,13 @@ def test_timed_out_hang_is_reported_as_a_hang():
         pass  # runner teardown kills the hung child
     assert runner.failed_shards == [1]
     assert "worker hung" in runner.failures[1]
-    assert "wave deadline" in runner.failures[1]
+    assert "hang deadline" in runner.failures[1]
 
 
-def test_shard_timeout_budget_is_per_wave():
-    """A retry wave gets a *fresh* ``shard_timeout`` budget: a unit that
-    hangs past the first wave's deadline succeeds on re-dispatch even
-    though total elapsed exceeds one budget."""
+def test_shard_timeout_budget_is_per_dispatch():
+    """A re-dispatch gets a *fresh* ``shard_timeout`` budget: a unit that
+    hangs past its first dispatch's deadline succeeds on re-dispatch
+    even though total elapsed exceeds one budget."""
     import time
 
     from repro.netsim.faults import FaultPlan
@@ -284,7 +314,7 @@ def test_shard_timeout_budget_is_per_wave():
     assert runner.failed_shards == []
     assert runner.redispatches == 1
     assert len(results) == 2
-    # the retry ran in wave 2's own budget, past wave 1's deadline
+    # the retry ran in its own budget, past the first dispatch's deadline
     assert elapsed > 8.0
 
 
