@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import random
+import struct
 from dataclasses import dataclass, field
 
 from ..botnet.families import FAMILIES, get_family
@@ -62,29 +63,58 @@ class MalwareSample:
         return len(self.data)
 
 
+def _text_words(rng: random.Random, words: int, opcodes: tuple[int, ...],
+                operand_bits: int, order: str) -> bytes:
+    """``rng.choice(opcodes) | rng.randrange(0, 1 << operand_bits)`` per word
+    in byte ``order``; each draw is ``getrandbits(n.bit_length())`` redrawn
+    while ``>= n``, as in ``Random._randbelow`` (DESIGN.md §5)."""
+    bits = rng.getrandbits
+    count = len(opcodes)
+    count_bits = count.bit_length()
+    limit = 1 << operand_bits
+    limit_bits = limit.bit_length()
+    out = []
+    append = out.append
+    for _ in range(words):
+        op = bits(count_bits)
+        while op >= count:
+            op = bits(count_bits)
+        operand = bits(limit_bits)
+        while operand >= limit:
+            operand = bits(limit_bits)
+        append(opcodes[op] | operand)
+    return struct.pack(f"{order}{words}I", *out)
+
+
 def _mips_text(rng: random.Random, words: int) -> bytes:
     """Plausible big-endian MIPS machine words for a ``.text`` section.
 
     Mixes common opcodes (addiu, lw, sw, jal, nop) so entropy resembles
-    real code rather than random bytes.
+    real code rather than random bytes.  Draws keep the RNG stream contract
+    (:func:`_text_words`): same bytes and final RNG state as the stdlib.
     """
     opcodes = (0x24000000, 0x8C000000, 0xAC000000, 0x0C000000, 0x00000000,
                0x10000000, 0x27BD0000, 0x03E00008)
-    out = bytearray()
-    for _ in range(words):
-        word = rng.choice(opcodes) | rng.randrange(0, 1 << 16)
-        out += word.to_bytes(4, "big")
-    return bytes(out)
+    return _text_words(rng, words, opcodes, 16, ">")
 
 
 def _arm_text(rng: random.Random, words: int) -> bytes:
     """Plausible little-endian ARM (A32) words (mov, ldr, str, bl, bx lr)."""
     opcodes = (0xE3A00000, 0xE5900000, 0xE5800000, 0xEB000000, 0xE12FFF1E,
                0xE92D4800, 0xE8BD8800)
-    out = bytearray()
-    for _ in range(words):
-        word = rng.choice(opcodes) | rng.randrange(0, 1 << 12)
-        out += word.to_bytes(4, "little")
+    return _text_words(rng, words, opcodes, 12, "<")
+
+
+def _random_bytes(rng: random.Random, count: int) -> bytes:
+    """``bytes(rng.randrange(256) for _ in range(count))``, drawn inline:
+    ``randrange(256)`` is ``getrandbits(9)`` redrawn while ``>= 256``."""
+    bits = rng.getrandbits
+    out = bytearray(count)
+    for index in range(count):
+        value = bits(9)
+        while value >= 256:
+            value = bits(9)
+        out[index] = value
     return bytes(out)
 
 
@@ -144,10 +174,10 @@ def build_chaff(rng: random.Random, kind: str = "arm") -> bytes:
     all), or ``"truncated"`` (ELF magic, cut short).
     """
     if kind == "junk":
-        return bytes(rng.randrange(256) for _ in range(rng.randrange(64, 512)))
+        return _random_bytes(rng, rng.randrange(64, 512))
     if kind == "truncated":
-        return b"\x7fELF" + bytes(rng.randrange(256) for _ in range(8))
+        return b"\x7fELF" + _random_bytes(rng, 8)
     machine = EM_ARM if kind == "arm" else EM_386
     image = ElfImage(machine=machine, endianness="little")
-    image.add_section(".text", bytes(rng.randrange(256) for _ in range(256)))
+    image.add_section(".text", _random_bytes(rng, 256))
     return image.encode()

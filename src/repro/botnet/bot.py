@@ -232,19 +232,27 @@ class Bot:
         return ports
 
     def scan_targets(self, count: int) -> list[tuple[int, int]]:
-        """Pick ``count`` random (ip, port) scan targets in one batch."""
+        """Pick ``count`` random (ip, port) scan targets in one batch.
+
+        Each target is ``randrange(0x01000000, 0xDF000000)``, redrawn while
+        reserved, then ``choice(ports)``.  Both draws are inlined under the
+        RNG stream contract (DESIGN.md §5): same targets, same RNG state.
+        """
         ports = self.scan_port_list()
-        randrange = self.rng.randrange
-        choice = self.rng.choice
+        port_count = len(ports)
+        port_bits = port_count.bit_length()
+        bits = self.rng.getrandbits
         targets: list[tuple[int, int]] = []
         append = targets.append
         for _ in range(count):
-            # same draw order as the one-at-a-time loop: addresses are
-            # redrawn until one is routable, then the port is drawn
-            address = randrange(0x01000000, 0xDF000000)
-            while is_reserved(address):
-                address = randrange(0x01000000, 0xDF000000)
-            append((address, choice(ports)))
+            # the address range is 0xDE000000 wide: 32 bits per draw
+            address = bits(32) + 0x01000000
+            while address >= 0xDF000000 or is_reserved(address):
+                address = bits(32) + 0x01000000
+            index = bits(port_bits)
+            while index >= port_count:
+                index = bits(port_bits)
+            append((address, ports[index]))
         return targets
 
     def _armed_for_port(self, port: int) -> list[Vulnerability]:

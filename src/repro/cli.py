@@ -327,7 +327,8 @@ def _run(args, telemetry: Telemetry = NULL_TELEMETRY) -> tuple:
         # the flag rides on the scale so parallel workers regenerating
         # the world from (seed, scale) build the same DGA campaigns
         scale = dataclasses.replace(scale, dga=True)
-    world = generate_world(seed=args.seed, scale=scale)
+    with telemetry.tracer.span("world.generate", seed=args.seed):
+        world = generate_world(seed=args.seed, scale=scale)
     workers = getattr(args, "workers", None)
     if workers is not None and workers < 0:
         raise SystemExit(f"repro: --workers must be >= 0, got {workers}")

@@ -374,7 +374,7 @@ def _build_run_manifest(
     }
     phases = {name: stats
               for name, stats in telemetry.tracer.aggregate().items()
-              if name.startswith("study.")}
+              if name.startswith(("study.", "world."))}
     cache_info: dict = {"enabled": cache is not None}
     if cache is not None:
         cache_info.update(hit=cached, hits=cache.hits, misses=cache.misses,

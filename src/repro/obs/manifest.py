@@ -40,7 +40,7 @@ def build_manifest(*, study: dict, run: dict,
     ``run``    — wall accounting: started/finished unix time, wall_seconds,
                  whether the result came from the cache.
     ``phases`` — ``{phase: {count, wall_seconds, sim_seconds}}`` (the
-                 ``study.*`` span aggregate).
+                 ``world.*`` and ``study.*`` span aggregate).
     ``cache``  — lookup counters (hits/misses/rejected) + enabled flag.
     ``shards`` — per-shard records: shard, attempt, wall_seconds, sizes.
     ``quarantined`` — ``[{sha256, reason}]`` per-sample failures.

@@ -60,7 +60,8 @@ class StudyService:
             "feed days executed by this service process")
         self._checkpoints = self.telemetry.metrics.counter(
             "service_checkpoints_total", "checkpoints written")
-        world = generate_world(seed=seed, scale=scale)
+        with self.telemetry.tracer.span("world.generate", seed=seed):
+            world = generate_world(seed=seed, scale=scale)
         self.runner = DayRunner(world=world, config=self.config,
                                 telemetry=self.telemetry)
         self._maybe_resume()

@@ -4,9 +4,9 @@ import random
 
 import pytest
 
-from repro.binary.builder import build_chaff, build_sample
+from repro.binary.builder import _arm_text, _mips_text, build_chaff, build_sample
 from repro.binary.config import BotConfig, unpack_config
-from repro.binary.elf import ElfImage, is_mips32_elf
+from repro.binary.elf import EM_386, EM_ARM, ElfImage, is_mips32_elf
 from repro.binary.strings import (
     contains_any,
     extract_domains,
@@ -86,6 +86,67 @@ class TestChaff:
     @pytest.mark.parametrize("kind", ["arm", "x86", "junk", "truncated"])
     def test_chaff_is_not_mips32(self, kind):
         assert not is_mips32_elf(build_chaff(random.Random(0), kind))
+
+
+# -- stream identity: the inlined draws against the stdlib-call loops ----------
+
+def reference_mips_text(rng, words):
+    opcodes = (0x24000000, 0x8C000000, 0xAC000000, 0x0C000000, 0x00000000,
+               0x10000000, 0x27BD0000, 0x03E00008)
+    out = bytearray()
+    for _ in range(words):
+        word = rng.choice(opcodes) | rng.randrange(0, 1 << 16)
+        out += word.to_bytes(4, "big")
+    return bytes(out)
+
+
+def reference_arm_text(rng, words):
+    opcodes = (0xE3A00000, 0xE5900000, 0xE5800000, 0xEB000000, 0xE12FFF1E,
+               0xE92D4800, 0xE8BD8800)
+    out = bytearray()
+    for _ in range(words):
+        word = rng.choice(opcodes) | rng.randrange(0, 1 << 12)
+        out += word.to_bytes(4, "little")
+    return bytes(out)
+
+
+def reference_chaff(rng, kind):
+    if kind == "junk":
+        return bytes(rng.randrange(256) for _ in range(rng.randrange(64, 512)))
+    if kind == "truncated":
+        return b"\x7fELF" + bytes(rng.randrange(256) for _ in range(8))
+    machine = EM_ARM if kind == "arm" else EM_386
+    image = ElfImage(machine=machine, endianness="little")
+    image.add_section(".text", bytes(rng.randrange(256) for _ in range(256)))
+    return image.encode()
+
+
+STREAM_SEEDS = (0, 1, 7, 20220322)
+
+
+class TestStreamIdentity:
+    """Same bytes and same final RNG state as the ``choice``/``randrange``
+    loops they replace (DESIGN.md §5, "RNG stream contract")."""
+
+    @pytest.mark.parametrize("words", [1, 2, 255, 256, 2047])
+    @pytest.mark.parametrize("fast, reference", [
+        (_mips_text, reference_mips_text),
+        (_arm_text, reference_arm_text),
+    ], ids=["mips", "arm"])
+    def test_text_words(self, fast, reference, words):
+        for seed in STREAM_SEEDS:
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            data = fast(rng, words)
+            assert len(data) == 4 * words
+            assert data == reference(ref_rng, words)
+            assert rng.getstate() == ref_rng.getstate()
+
+    @pytest.mark.parametrize("kind", ["arm", "x86", "junk", "truncated"])
+    def test_chaff(self, kind):
+        for seed in STREAM_SEEDS:
+            rng, ref_rng = random.Random(seed), random.Random(seed)
+            assert build_chaff(rng, kind) == reference_chaff(ref_rng, kind)
+            assert rng.getstate() == ref_rng.getstate()
 
 
 class TestStrings:

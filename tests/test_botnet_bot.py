@@ -116,6 +116,27 @@ class TestScanning:
         ports = {port for _ip, port in bot.scan_targets(100)}
         assert ports <= set(TELNET_PORTS)
 
+    @pytest.mark.parametrize("ports", [[23], [23, 2323, 80],
+                                       [23, 2323, 80, 8080, 37215]])
+    def test_scan_targets_keep_the_stdlib_stream(self, ports):
+        """Same targets and final RNG state as the ``randrange``/``choice``
+        loop (DESIGN.md §5, "RNG stream contract")."""
+        bot = Bot(BotConfig(family="mirai", scan_ports=ports), BOT_IP,
+                  random.Random(20220322))
+        ref_rng = random.Random()
+        ref_rng.setstate(bot.rng.getstate())
+        expected, redraws = [], 0
+        for _ in range(300):
+            address = ref_rng.randrange(0x01000000, 0xDF000000)
+            while is_reserved(address):
+                redraws += 1
+                address = ref_rng.randrange(0x01000000, 0xDF000000)
+            expected.append((address, ref_rng.choice(ports)))
+        assert redraws > 0  # the reserved-space redraw is exercised
+        assert bot.scan_port_list() == ports
+        assert bot.scan_targets(300) == expected
+        assert bot.rng.getstate() == ref_rng.getstate()
+
     def test_scan_burst_hits_on_accepted_connections(self):
         adapter = RecordingAdapter(accept_every=5)
         hits = mirai_bot().scan_burst(adapter, 50)

@@ -1,5 +1,6 @@
 """The run flight recorder: manifest building, persistence, emission."""
 
+import io
 import json
 
 from repro.core.cache import StudyCache
@@ -50,6 +51,18 @@ def test_run_study_attaches_manifest_serial_and_parallel():
             assert all(s["wall_seconds"] > 0 for s in shards)
         else:
             assert manifest["shards"] == []
+
+
+def test_cli_study_manifest_carries_world_generation(tmp_path):
+    from repro.cli import main
+
+    target = str(tmp_path / "telemetry")
+    assert main(["--scale", "smoke", "--seed", str(SEED), "study",
+                 "--telemetry", target], out=io.StringIO()) == 0
+    phases = read_manifest(target)["phases"]
+    assert phases["world.generate"]["count"] == 1
+    assert phases["world.generate"]["wall_seconds"] > 0
+    assert phases["study.pipeline"]["count"] == 1
 
 
 def test_manifest_emitted_for_cached_runs_too(tmp_path):

@@ -50,6 +50,11 @@ def batch_datasets():
     return datasets
 
 
+def test_world_generation_is_traced(daemon):
+    service, _client = daemon
+    assert service.telemetry.tracer.aggregate()["world.generate"]["count"] == 1
+
+
 # -- the service == batch oracle ---------------------------------------------
 
 
